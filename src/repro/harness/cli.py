@@ -10,17 +10,13 @@ Usage::
     python -m repro all             # everything
     python -m repro --runs 20 table6   # faster, fewer executions
     python -m repro all --faults lossy   # under a fault-injection profile
-    python -m repro selfcheck --faults smoke   # fault-subsystem smoke test
     python -m repro table4 --profile     # per-subsystem event-loop profile
     python -m repro table6 --trace-out t.json --metrics-out m.json
-    python -m repro selfcheck --obs smoke   # observability smoke test
     python -m repro table4 --jobs 4      # parallel cells, identical bytes
-    python -m repro selfcheck --parallel   # serial-vs-parallel digest check
     python -m repro bench --repeats 5 --out BENCH_1.json
     python -m repro bench --baseline BENCH_baseline.json   # exit 4 on regression
     python -m repro table4 --jobs 4 --cell-timeout 120   # kill+retry slow cells
     python -m repro all --resume study.ckpt   # journal cells; replay on rerun
-    python -m repro selfcheck --chaos    # crash-recovery smoke suite
     python -m repro all --jobs 4 --progress   # live cells-done/ETA ticker
     python -m repro all --events-out events.jsonl   # structured run log
     python -m repro all --status-port 0   # live /metrics /progress /healthz
@@ -29,10 +25,10 @@ Usage::
     python -m repro runs diff latest abc123   # Welch-tested cross-run diff
     python -m repro runs flame latest --cell table6   # attribution icicle
     python -m repro table4 --no-ledger   # opt out of run recording
-    python -m repro selfcheck --ledger   # run-ledger smoke suite
     python -m repro check                # paper-reference regression checks
     python -m repro check --spec my.toml --adaptive  # custom declarative suite
-    python -m repro selfcheck --checks   # check-subsystem smoke suite
+    python -m repro selfcheck            # structural model-zoo checks
+    python -m repro selfcheck faults obs parallel cache chaos ledger checks
 
 Under ``--faults <profile>`` individual benchmark cells may be killed by
 injected node failures; after bounded retries they are rendered as the
@@ -69,6 +65,7 @@ import argparse
 import os
 import sys
 import time
+from importlib import import_module
 
 from ..core.figures import FIGURE_MACHINES, figure_for, render_node_ascii
 from ..core.report import full_report, inventory_section
@@ -94,9 +91,20 @@ from .compare import (
 TARGETS = (
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
     "table8", "table9", "figure1", "figure2", "figure3",
-    "compare", "report", "sweeps", "internode", "artifacts", "check",
-    "selfcheck", "all",
+    "compare", "report", "sweeps", "internode", "artifacts", "all",
 )
+
+#: commands with their own flags and exit codes: name -> (module, entry),
+#: imported on first use so table runs never load them.  Exit codes:
+#: bench 0 ok / 3 incomplete / 4 regressed; runs 0 ok / 2 usage /
+#: 3 regressed; check 0 ok / 3 regression / 4 inflated; selfcheck 0 ok /
+#: 2 usage / 3 findings
+COMMANDS = {
+    "bench": ("bench", "bench_main"),
+    "runs": ("runs_cli", "runs_main"),
+    "check": ("check_cli", "check_main"),
+    "selfcheck": ("selfcheck", "selfcheck_main"),
+}
 
 #: exit status when the run completed but some cells degraded under faults
 EXIT_DEGRADED = 3
@@ -162,18 +170,9 @@ def _print_table9() -> str:
     return "\n".join(lines)
 
 
-def run_target(
-    target: str,
-    study: Study,
-    *,
-    obs_smoke: bool = False,
-    parallel_smoke: bool = False,
-    cache_smoke: bool = False,
-    chaos_smoke: bool = False,
-    ledger_smoke: bool = False,
-    checks_smoke: bool = False,
-) -> str:
-    """Produce the output text for one CLI target."""
+def run_target(target: str, study: Study) -> str:
+    """Produce the output text for one CLI target; ``check`` is the
+    structural self-check section that ``all`` ends with."""
     if target == "table1":
         return _print_table1()
     if target == "table2":
@@ -214,67 +213,7 @@ def run_target(
         from .selfcheck import render_selfcheck, run_selfcheck
 
         return render_selfcheck(run_selfcheck())
-    if target == "selfcheck":
-        return _run_selfcheck_target(
-            study, obs_smoke=obs_smoke, parallel_smoke=parallel_smoke,
-            cache_smoke=cache_smoke, chaos_smoke=chaos_smoke,
-            ledger_smoke=ledger_smoke, checks_smoke=checks_smoke,
-        )
     raise ValueError(f"unknown target: {target}")
-
-
-def _run_selfcheck_target(
-    study: Study,
-    obs_smoke: bool = False,
-    parallel_smoke: bool = False,
-    cache_smoke: bool = False,
-    chaos_smoke: bool = False,
-    ledger_smoke: bool = False,
-    checks_smoke: bool = False,
-) -> str:
-    """``selfcheck``: structural checks, plus the fault smoke suite
-    whenever a fault plan is armed (``--faults smoke`` in CI), the
-    observability smoke suite under ``--obs smoke``, the
-    parallel-equivalence smoke suite under ``--parallel``, the
-    cell-cache smoke suite under ``--cache``, the crash-recovery
-    smoke suite under ``--chaos``, the run-ledger smoke suite
-    under ``--ledger``, and the regression-check smoke suite under
-    ``--checks``."""
-    from .selfcheck import (
-        render_cache_smoke,
-        render_chaos_smoke,
-        render_checks_smoke,
-        render_fault_smoke,
-        render_ledger_smoke,
-        render_obs_smoke,
-        render_parallel_smoke,
-        render_selfcheck,
-        run_cache_smoke,
-        run_chaos_smoke,
-        run_checks_smoke,
-        run_fault_smoke,
-        run_ledger_smoke,
-        run_obs_smoke,
-        run_parallel_smoke,
-        run_selfcheck,
-    )
-
-    parts = [render_selfcheck(run_selfcheck())]
-    if study.config.faults is not None and not study.config.faults.is_null():
-        parts.append(render_fault_smoke(run_fault_smoke()))
-    if obs_smoke:
-        parts.append(render_obs_smoke(run_obs_smoke()))
-    if parallel_smoke:
-        parts.append(render_parallel_smoke(run_parallel_smoke()))
-    if cache_smoke:
-        parts.append(render_cache_smoke(run_cache_smoke()))
-    if chaos_smoke:
-        parts.append(render_chaos_smoke(run_chaos_smoke()))
-    if ledger_smoke:
-        parts.append(render_ledger_smoke(run_ledger_smoke()))
-    if checks_smoke:
-        parts.append(render_checks_smoke(run_checks_smoke()))
-    return "\n".join(parts)
 
 
 def _print_sweeps() -> str:
@@ -341,28 +280,10 @@ def _print_internode() -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # the bench harness has its own flag set and exit-code contract
-        # (0 ok / 3 incomplete / 4 regressed); everything else below is
-        # untouched so un-flagged runs stay byte-identical
-        from .bench import bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "runs":
-        # cross-run analytics over the ledger (0 ok / 2 usage error /
-        # 3 significant regression from `runs diff`)
-        from .runs_cli import runs_main
-
-        return runs_main(argv[1:])
-    if argv and argv[0] == "check":
-        # declarative regression checks (0 ok / 3 regression /
-        # 4 inflated).  The `check` *target* inside run_target keeps
-        # its legacy meaning (selfcheck alias) for the "all" expansion
-        # and programmatic callers; the CLI word now means the
-        # repro.checks evaluator.
-        from .check_cli import check_main
-
-        return check_main(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        module, entry = COMMANDS[argv[0]]
+        command = getattr(import_module(f".{module}", __package__), entry)
+        return command(argv[1:])
     parser = argparse.ArgumentParser(
         prog="doe-microbench",
         description="Regenerate the tables and figures of the SC-W'23 DOE "
@@ -442,20 +363,6 @@ def main(argv: list[str] | None = None) -> int:
              "to stderr",
     )
     parser.add_argument(
-        "--obs", type=str, default="none", choices=("none", "smoke"),
-        help="observability smoke suite selector for the selfcheck target",
-    )
-    parser.add_argument(
-        "--parallel", action="store_true",
-        help="run the parallel-equivalence smoke suite under the "
-             "selfcheck target",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="run the crash-recovery smoke suite (worker kills, retry, "
-             "checkpoint resume) under the selfcheck target",
-    )
-    parser.add_argument(
         "--events-out", type=str, default="", metavar="FILE",
         help="append one JSONL event per run transition (cell start/done, "
              "crashes, cache hits) to FILE; crash-safe, schema "
@@ -489,17 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         "--ledger-dir", type=str, default="", metavar="DIR",
         help="run-ledger root (default: $REPRO_LEDGER_DIR or .repro/runs)",
     )
-    parser.add_argument(
-        "--ledger", action="store_true",
-        help="run the run-ledger smoke suite (record/list/diff/gc) under "
-             "the selfcheck target",
-    )
-    parser.add_argument(
-        "--checks", action="store_true",
-        help="run the regression-check smoke suite (spec roundtrip, "
-             "injected-regression exit, adaptive stopping) under the "
-             "selfcheck target",
-    )
     args = parser.parse_args(argv)
     if args.status_port is not None and not 0 <= args.status_port <= 65535:
         parser.error(
@@ -525,12 +421,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     targets = list(args.targets)
     if "all" in targets:
-        # "selfcheck" stays opt-in: "all" output is byte-compared across
-        # fault-free runs and must not grow new sections
+        # "all" output is byte-compared across fault-free runs, so its
+        # sections and their order are fixed
         targets = [
-            t for t in TARGETS
-            if t not in ("all", "report", "artifacts", "selfcheck")
-        ] + ["report"]
+            t for t in TARGETS if t not in ("all", "report", "artifacts")
+        ] + ["check", "report"]
 
     from ..obs import live
     from ..obs import runtime as obs_runtime
@@ -600,15 +495,7 @@ def main(argv: list[str] | None = None) -> int:
                             f"{directory})"
                         )
                         continue
-                    text = run_target(
-                        target, study,
-                        obs_smoke=args.obs == "smoke",
-                        parallel_smoke=args.parallel,
-                        cache_smoke=cache,
-                        chaos_smoke=args.chaos,
-                        ledger_smoke=args.ledger,
-                        checks_smoke=args.checks,
-                    )
+                    text = run_target(target, study)
                     print(f"==> {target}")
                     print(text)
                     print()

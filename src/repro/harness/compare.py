@@ -163,7 +163,7 @@ def gate_comparison(rows: list[ComparisonRow], tolerance: float = 0.05):
     with a ``±tolerance`` relative band — evaluated by
     :func:`repro.checks.evaluate.evaluate`, so the sim-vs-paper gate
     uses the exact same threshold semantics as ``repro check``, the
-    bench baseline and ``selfcheck --checks``.  Degraded rows are
+    bench baseline and ``selfcheck checks``.  Degraded rows are
     excluded the same way the error statistics exclude them.  Returns
     the :class:`~repro.checks.evaluate.CheckReport`.
     """

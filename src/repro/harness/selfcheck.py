@@ -6,11 +6,17 @@ calibration sanity (efficiencies below 1, latencies positive, paper
 anomalies flagged where documented), fabric coverage, kernel
 correctness, and registry completeness.  Returns a list of findings;
 empty means healthy.
+
+Each name in :data:`SUITES` adds one subsystem's smoke checks, e.g.
+``python -m repro selfcheck faults obs``; every check builds its own
+studies, so the command takes no table flags.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..benchmarks.babelstream.kernels import StreamArrays
 from ..hardware.topology import LinkClass
@@ -131,10 +137,7 @@ ALL_CHECKS = (
 
 def run_selfcheck() -> list[Finding]:
     """Run every check; returns all findings (empty = healthy)."""
-    findings: list[Finding] = []
-    for check in ALL_CHECKS:
-        findings.extend(check())
-    return findings
+    return [f for check in ALL_CHECKS for f in check()]
 
 
 def render_selfcheck(findings: list[Finding]) -> str:
@@ -147,7 +150,7 @@ def render_selfcheck(findings: list[Finding]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fault-injection smoke checks: ``python -m repro selfcheck --faults smoke``
+# fault-injection smoke checks: ``python -m repro selfcheck faults``
 # ---------------------------------------------------------------------------
 
 def check_fault_null_plan() -> list[Finding]:
@@ -263,34 +266,8 @@ def check_fault_watchdog() -> list[Finding]:
     return [Finding("-", "faults", "watchdog did not fire at 50 events")]
 
 
-FAULT_CHECKS = (
-    check_fault_null_plan,
-    check_fault_retransmit,
-    check_fault_link_window,
-    check_fault_kernel_inflation,
-    check_fault_watchdog,
-)
-
-
-def run_fault_smoke() -> list[Finding]:
-    """Exercise the fault subsystem end to end; empty list = healthy."""
-    findings: list[Finding] = []
-    for check in FAULT_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_fault_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"fault smoke passed: {len(FAULT_CHECKS)} check families "
-            f"(null plan, retransmit, link windows, GPU faults, watchdog)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
 # ---------------------------------------------------------------------------
-# observability smoke checks: ``python -m repro selfcheck --obs smoke``
+# observability smoke checks: ``python -m repro selfcheck obs``
 # ---------------------------------------------------------------------------
 
 def check_obs_null_context() -> list[Finding]:
@@ -526,37 +503,8 @@ def check_obs_live_status() -> list[Finding]:
     return out
 
 
-OBS_CHECKS = (
-    check_obs_null_context,
-    check_obs_span_roundtrip,
-    check_obs_histogram_edges,
-    check_obs_profile_cli,
-    check_obs_trace_reader,
-    check_obs_bench_gate,
-    check_obs_live_status,
-)
-
-
-def run_obs_smoke() -> list[Finding]:
-    """Exercise the observability subsystem end to end; empty = healthy."""
-    findings: list[Finding] = []
-    for check in OBS_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_obs_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"obs smoke passed: {len(OBS_CHECKS)} check families "
-            f"(null context, span roundtrip, histogram edges, --profile CLI, "
-            f"trace reader, bench gate, live status server)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
 # ---------------------------------------------------------------------------
-# parallel-equivalence smoke checks: ``python -m repro selfcheck --parallel``
+# parallel-equivalence smoke checks: ``python -m repro selfcheck parallel``
 # ---------------------------------------------------------------------------
 
 def check_parallel_jobs_knob() -> list[Finding]:
@@ -646,6 +594,10 @@ def check_parallel_scheduler_stats() -> list[Finding]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# cell-cache smoke checks: ``python -m repro selfcheck cache``
+# ---------------------------------------------------------------------------
+
 def check_cache_roundtrip() -> list[Finding]:
     """Two identical cached studies: the first stores every cell, the
     second serves every cell from disk, and the rendered bytes match."""
@@ -711,31 +663,8 @@ def check_cache_version_invalidation() -> list[Finding]:
     return out
 
 
-CACHE_CHECKS = (
-    check_cache_roundtrip,
-    check_cache_version_invalidation,
-)
-
-
-def run_cache_smoke() -> list[Finding]:
-    """Exercise the persistent cell cache end to end; empty = healthy."""
-    findings: list[Finding] = []
-    for check in CACHE_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_cache_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"cache smoke passed: {len(CACHE_CHECKS)} check families "
-            f"(cold/warm byte-identity, version invalidation)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
 # ---------------------------------------------------------------------------
-# crash-recovery smoke checks: ``python -m repro selfcheck --chaos``
+# crash-recovery smoke checks: ``python -m repro selfcheck chaos``
 # ---------------------------------------------------------------------------
 
 def check_chaos_recovery() -> list[Finding]:
@@ -837,57 +766,8 @@ def check_chaos_resume() -> list[Finding]:
     return out
 
 
-CHAOS_CHECKS = (
-    check_chaos_recovery,
-    check_chaos_exhaustion,
-    check_chaos_resume,
-)
-
-
-def run_chaos_smoke() -> list[Finding]:
-    """Exercise crash recovery and checkpoint resume; empty = healthy."""
-    findings: list[Finding] = []
-    for check in CHAOS_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_chaos_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"chaos smoke passed: {len(CHAOS_CHECKS)} check families "
-            f"(kill-and-recover byte-identity, retry exhaustion footnote, "
-            f"truncated-journal resume)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
-PARALLEL_CHECKS = (
-    check_parallel_jobs_knob,
-    check_parallel_digest,
-    check_parallel_scheduler_stats,
-)
-
-
-def run_parallel_smoke() -> list[Finding]:
-    """Exercise the parallel scheduler end to end; empty list = healthy."""
-    findings: list[Finding] = []
-    for check in PARALLEL_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_parallel_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"parallel smoke passed: {len(PARALLEL_CHECKS)} check families "
-            f"(jobs knob, serial-vs-parallel digest, scheduler stats)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
 # ---------------------------------------------------------------------------
-# run-ledger smoke checks: ``python -m repro selfcheck --ledger``
+# run-ledger smoke checks: ``python -m repro selfcheck ledger``
 # ---------------------------------------------------------------------------
 
 def check_ledger_roundtrip() -> list[Finding]:
@@ -1032,33 +912,8 @@ def check_ledger_torn_index() -> list[Finding]:
     return out
 
 
-LEDGER_CHECKS = (
-    check_ledger_roundtrip,
-    check_ledger_regression_gate,
-    check_ledger_torn_index,
-)
-
-
-def run_ledger_smoke() -> list[Finding]:
-    """Exercise the run ledger end to end; empty list = healthy."""
-    findings: list[Finding] = []
-    for check in LEDGER_CHECKS:
-        findings.extend(check())
-    return findings
-
-
-def render_ledger_smoke(findings: list[Finding]) -> str:
-    if not findings:
-        return (
-            f"ledger smoke passed: {len(LEDGER_CHECKS)} check families "
-            f"(record/list/diff/gc roundtrip, injected-regression gate, "
-            f"torn-index recovery)"
-        )
-    return "\n".join(str(f) for f in findings)
-
-
 # ---------------------------------------------------------------------------
-# regression-check smoke suite (``selfcheck --checks``)
+# regression-check smoke checks: ``python -m repro selfcheck checks``
 # ---------------------------------------------------------------------------
 
 def check_spec_roundtrip() -> list[Finding]:
@@ -1219,26 +1074,98 @@ def check_adaptive_stopping() -> list[Finding]:
     return out
 
 
-CHECKS_CHECKS = (
-    check_spec_roundtrip,
-    check_injected_regression,
-    check_adaptive_stopping,
-)
+# ---------------------------------------------------------------------------
+# the suite table and ``python -m repro selfcheck [SUITE ...]``
+# ---------------------------------------------------------------------------
+
+class Suite(NamedTuple):
+    """One smoke suite: its check families and its all-clear line."""
+
+    checks: tuple[Callable[[], list[Finding]], ...]
+    passed: str
 
 
-def run_checks_smoke() -> list[Finding]:
-    """Exercise the regression-check subsystem; empty list = healthy."""
-    findings: list[Finding] = []
-    for check in CHECKS_CHECKS:
-        findings.extend(check())
-    return findings
+def _smoke(label: str, covers: str, *checks) -> Suite:
+    return Suite(checks, f"{label} smoke passed: {len(checks)} check "
+                         f"families ({covers})")
 
 
-def render_checks_smoke(findings: list[Finding]) -> str:
+SUITES: dict[str, Suite] = {
+    "faults": _smoke(
+        "fault", "null plan, retransmit, link windows, GPU faults, watchdog",
+        check_fault_null_plan, check_fault_retransmit,
+        check_fault_link_window, check_fault_kernel_inflation,
+        check_fault_watchdog,
+    ),
+    "obs": _smoke(
+        "obs", "null context, span roundtrip, histogram edges, --profile "
+               "CLI, trace reader, bench gate, live status server",
+        check_obs_null_context, check_obs_span_roundtrip,
+        check_obs_histogram_edges, check_obs_profile_cli,
+        check_obs_trace_reader, check_obs_bench_gate, check_obs_live_status,
+    ),
+    "parallel": _smoke(
+        "parallel", "jobs knob, serial-vs-parallel digest, scheduler stats",
+        check_parallel_jobs_knob, check_parallel_digest,
+        check_parallel_scheduler_stats,
+    ),
+    "cache": _smoke(
+        "cache", "cold/warm byte-identity, version invalidation",
+        check_cache_roundtrip, check_cache_version_invalidation,
+    ),
+    "chaos": _smoke(
+        "chaos", "kill-and-recover byte-identity, retry exhaustion "
+                 "footnote, truncated-journal resume",
+        check_chaos_recovery, check_chaos_exhaustion, check_chaos_resume,
+    ),
+    "ledger": _smoke(
+        "ledger", "record/list/diff/gc roundtrip, injected-regression gate, "
+                  "torn-index recovery",
+        check_ledger_roundtrip, check_ledger_regression_gate,
+        check_ledger_torn_index,
+    ),
+    "checks": _smoke(
+        "checks", "spec roundtrip, injected-regression gate, "
+                  "adaptive stopping",
+        check_spec_roundtrip, check_injected_regression,
+        check_adaptive_stopping,
+    ),
+}
+
+
+def run_suite(name: str) -> list[Finding]:
+    """Run one smoke suite end to end; empty list = healthy."""
+    return [f for check in SUITES[name].checks for f in check()]
+
+
+def render_suite(name: str, findings: list[Finding]) -> str:
     if not findings:
-        return (
-            f"checks smoke passed: {len(CHECKS_CHECKS)} check families "
-            f"(spec roundtrip, injected-regression gate, "
-            f"adaptive stopping)"
-        )
+        return SUITES[name].passed
     return "\n".join(str(f) for f in findings)
+
+
+def selfcheck_main(argv: list[str]) -> int:
+    """``repro selfcheck [SUITE ...]``: the structural checks, then each
+    named smoke suite in order.  Exits 3 when any check finds anything,
+    as ``repro check`` does for a failed check; 2 on an unknown suite."""
+    parser = argparse.ArgumentParser(
+        prog="doe-microbench selfcheck",
+        description="Validate the model zoo; each SUITE adds one "
+                    "subsystem's smoke checks.",
+    )
+    # no choices=: argparse rejects an empty list against them
+    parser.add_argument("suites", nargs="*", metavar="SUITE",
+                        help=f"one of: {', '.join(SUITES)}")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.suites if name not in SUITES]
+    if unknown:
+        parser.error(f"unknown suite {unknown[0]!r} "
+                     f"(choose from {', '.join(SUITES)})")
+    findings = run_selfcheck()
+    parts = [render_selfcheck(findings)]
+    for name in args.suites:
+        found = run_suite(name)
+        findings += found
+        parts.append(render_suite(name, found))
+    print("\n".join(parts))
+    return 3 if findings else 0

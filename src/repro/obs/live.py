@@ -212,7 +212,7 @@ class ProgressReporter:
         self.min_interval = min_interval
         self._stream = stream
         self.force = force
-        self._last = 0.0
+        self._last: float | None = None
         self._wrote_any = False
 
     @property
@@ -242,7 +242,8 @@ class ProgressReporter:
         if not self._enabled():
             return
         now = time.monotonic()
-        if not force and now - self._last < self.min_interval:
+        if (not force and self._last is not None
+                and now - self._last < self.min_interval):
             return
         self._last = now
         line = self.render(self.aggregator.snapshot())

@@ -1,4 +1,4 @@
-"""CI smoke target: ``python -m repro selfcheck --chaos``.
+"""CI smoke target: ``python -m repro selfcheck chaos``.
 
 Marked ``chaos`` so CI can select the crash-recovery suite
 (``pytest -m chaos``); it also runs in the default tier-1 sweep.
@@ -7,12 +7,12 @@ Marked ``chaos`` so CI can select the crash-recovery suite
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.selfcheck import render_chaos_smoke, run_chaos_smoke
+from repro.harness.selfcheck import render_suite, run_suite
 
 
 @pytest.mark.chaos
 def test_selfcheck_chaos_target_passes(capsys):
-    code = main(["selfcheck", "--chaos", "--runs", "2"])
+    code = main(["selfcheck", "chaos"])
     out = capsys.readouterr().out
     assert code == 0
     assert "self-check passed" in out
@@ -21,9 +21,9 @@ def test_selfcheck_chaos_target_passes(capsys):
 
 @pytest.mark.chaos
 def test_chaos_smoke_suite_is_clean():
-    findings = run_chaos_smoke()
+    findings = run_suite("chaos")
     assert findings == []
-    assert "passed" in render_chaos_smoke(findings)
+    assert "passed" in render_suite("chaos", findings)
 
 
 @pytest.mark.chaos
@@ -33,15 +33,3 @@ def test_selfcheck_without_flag_skips_chaos_smoke(capsys):
     assert code == 0
     assert "self-check passed" in out
     assert "chaos smoke" not in out
-
-
-@pytest.mark.chaos
-def test_cell_timeout_flag_validates(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["table4", "--runs", "2", "--cell-timeout", "-1"])
-    capsys.readouterr()
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["table4", "--runs", "2", "--max-cell-retries", "-1"])
-    capsys.readouterr()
-    assert excinfo.value.code == 2

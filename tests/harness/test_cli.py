@@ -78,6 +78,16 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["not-a-table"])
 
+    @pytest.mark.parametrize("argv", [
+        ["table4", "check"],     # check is a command, not a table target
+        ["table4", "--chaos"],   # selfcheck suites are not table flags
+    ])
+    def test_selfcheck_words_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        capsys.readouterr()
+        assert excinfo.value.code == 2
+
     def test_every_advertised_target_runs(self, capsys, tiny_study):
         for target in TARGETS:
             if target in ("all", "report", "artifacts", "sweeps"):
@@ -94,3 +104,15 @@ class TestMain:
         out = capsys.readouterr().out
         assert "files under" in out
         assert (tmp_path / "bundle" / "tables" / "table4.txt").exists()
+
+
+@pytest.mark.chaos
+def test_cell_timeout_flag_validates(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table4", "--runs", "2", "--cell-timeout", "-1"])
+    capsys.readouterr()
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table4", "--runs", "2", "--max-cell-retries", "-1"])
+    capsys.readouterr()
+    assert excinfo.value.code == 2

@@ -1,4 +1,4 @@
-"""CI smoke target: ``python -m repro selfcheck --faults smoke``.
+"""CI smoke target: ``python -m repro selfcheck faults``.
 
 Marked ``faults`` so CI can select it (``pytest -m faults``); it also
 runs in the default tier-1 sweep.
@@ -7,12 +7,12 @@ runs in the default tier-1 sweep.
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.selfcheck import render_fault_smoke, run_fault_smoke
+from repro.harness.selfcheck import render_suite, run_suite
 
 
 @pytest.mark.faults
 def test_selfcheck_smoke_target_passes(capsys):
-    code = main(["selfcheck", "--faults", "smoke"])
+    code = main(["selfcheck", "faults"])
     out = capsys.readouterr().out
     assert code == 0
     assert "self-check passed" in out
@@ -21,9 +21,9 @@ def test_selfcheck_smoke_target_passes(capsys):
 
 @pytest.mark.faults
 def test_fault_smoke_suite_is_clean():
-    findings = run_fault_smoke()
+    findings = run_suite("faults")
     assert findings == []
-    assert "passed" in render_fault_smoke(findings)
+    assert "passed" in render_suite("faults", findings)
 
 
 @pytest.mark.faults

@@ -1,4 +1,4 @@
-"""CI smoke target: ``python -m repro selfcheck --obs smoke``.
+"""CI smoke target: ``python -m repro selfcheck obs``.
 
 Marked ``obs`` so CI can select it (``pytest -m obs``); it also runs in
 the default tier-1 sweep.
@@ -7,12 +7,12 @@ the default tier-1 sweep.
 import pytest
 
 from repro.harness.cli import main
-from repro.harness.selfcheck import render_obs_smoke, run_obs_smoke
+from repro.harness.selfcheck import render_suite, run_suite
 
 
 @pytest.mark.obs
 def test_selfcheck_obs_smoke_target_passes(capsys):
-    code = main(["selfcheck", "--obs", "smoke", "--runs", "2"])
+    code = main(["selfcheck", "obs"])
     out = capsys.readouterr().out
     assert code == 0
     assert "self-check passed" in out
@@ -21,9 +21,9 @@ def test_selfcheck_obs_smoke_target_passes(capsys):
 
 @pytest.mark.obs
 def test_obs_smoke_suite_is_clean():
-    findings = run_obs_smoke()
+    findings = run_suite("obs")
     assert findings == []
-    assert "passed" in render_obs_smoke(findings)
+    assert "passed" in render_suite("obs", findings)
 
 
 @pytest.mark.obs

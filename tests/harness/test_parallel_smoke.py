@@ -1,4 +1,4 @@
-"""CI smoke target: ``python -m repro selfcheck --parallel``.
+"""CI smoke target: ``python -m repro selfcheck parallel``.
 
 Marked ``parallel`` so CI can select the equivalence suite
 (``pytest -m parallel``); it also runs in the default tier-1 sweep.
@@ -6,13 +6,14 @@ Marked ``parallel`` so CI can select the equivalence suite
 
 import pytest
 
+from repro.core.study import Study
 from repro.harness.cli import main
-from repro.harness.selfcheck import render_parallel_smoke, run_parallel_smoke
+from repro.harness.selfcheck import render_suite, run_suite
 
 
 @pytest.mark.parallel
 def test_selfcheck_parallel_target_passes(capsys):
-    code = main(["selfcheck", "--parallel", "--runs", "2"])
+    code = main(["selfcheck", "parallel"])
     out = capsys.readouterr().out
     assert code == 0
     assert "self-check passed" in out
@@ -21,9 +22,9 @@ def test_selfcheck_parallel_target_passes(capsys):
 
 @pytest.mark.parallel
 def test_parallel_smoke_suite_is_clean():
-    findings = run_parallel_smoke()
+    findings = run_suite("parallel")
     assert findings == []
-    assert "passed" in render_parallel_smoke(findings)
+    assert "passed" in render_suite("parallel", findings)
 
 
 @pytest.mark.parallel
@@ -36,9 +37,19 @@ def test_selfcheck_without_flag_skips_parallel_smoke(capsys):
 
 
 @pytest.mark.parallel
-def test_smoke_runs_at_jobs_2_through_the_cli(capsys):
-    # the CI job's exact invocation: equivalence suite at two workers
-    code = main(["selfcheck", "--parallel", "--jobs", "2", "--runs", "2"])
+def test_smoke_runs_at_jobs_2_through_the_cli(monkeypatch, capsys):
+    # the CI job's exact invocation; selfcheck takes no --jobs, so the
+    # equivalence suite must build its own two-worker studies
+    jobs = []
+    init = Study.__init__
+
+    def spy(self, config, *args, **kwargs):
+        jobs.append(config.jobs)
+        init(self, config, *args, **kwargs)
+
+    monkeypatch.setattr(Study, "__init__", spy)
+    code = main(["selfcheck", "parallel"])
     out = capsys.readouterr().out
     assert code == 0
     assert "parallel smoke passed" in out
+    assert 1 in jobs and 2 in jobs

@@ -165,6 +165,20 @@ class TestProgressReporter:
         assert stream.getvalue() == first
         assert first.count("\r") == 1
 
+    def test_first_tick_renders_on_a_freshly_booted_host(self, monkeypatch):
+        # time.monotonic() counts from boot on Linux: ten seconds of
+        # uptime is far below the hour-long interval, yet the first
+        # frame must still render
+        monkeypatch.setattr(live.time, "monotonic", lambda: 10.0)
+        stream = _FakeTTY()
+        reporter = ProgressReporter(
+            self._agg(), min_interval=3600.0, stream=stream
+        )
+        reporter.tick()
+        assert "cells 17/52" in stream.getvalue()
+        reporter.tick()
+        assert stream.getvalue().count("\r") == 1
+
     def test_force_bypasses_the_tty_gate(self):
         # --progress=force / REPRO_FORCE_PROGRESS=1: ticker writes to a
         # piped (non-TTY) stream that the default gate would silence
