@@ -4,8 +4,8 @@ A killed study — OOM, walltime, Ctrl-C, a node reboot — loses every
 completed benchmark cell today unless the persistent cache was armed.
 This module gives the scheduler a *run-scoped* alternative with crash
 safety as the design center: every completed
-:class:`~repro.core.parallel.CellOutcome` is appended to a JSONL
-journal **as it finishes** (one line per cell, flushed and fsynced), so
+:class:`~repro.core.parallel.CellOutcome` is appended to a
+:mod:`repro.jsonl` journal **as it finishes** (one line per cell), so
 the journal is valid after a kill at any byte offset — the worst case
 is one torn final line, which replay skips and recomputes.
 
@@ -32,13 +32,12 @@ about the cell itself.
 from __future__ import annotations
 
 import base64
-import json
-import os
 import pickle
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from .. import jsonl
 from .._version import __version__ as _CODE_VERSION
 from ..obs import live, runtime as obs
 from .cellcache import cell_key
@@ -72,10 +71,6 @@ class CheckpointJournal:
         #: append attempts lost to an unwritable journal
         self.write_failed = 0
         self._warned_unwritable = False
-        #: the journal ends in a torn (newline-less) line; the next
-        #: append must start on a fresh line or it would merge with the
-        #: fragment and corrupt itself
-        self._tail_torn = False
         #: digest -> (key text, outcome); loaded lazily on first use
         self._index: Optional[dict] = None
 
@@ -98,17 +93,9 @@ class CheckpointJournal:
         if self._index is not None:
             return self._index
         self._index = {}
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return self._index  # no journal yet: a fresh run
-        self._tail_torn = bool(raw) and not raw.endswith(b"\n")
-        corrupt = 0
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
+        docs, corrupt = jsonl.read(self.path)
+        for doc in docs:
             try:
-                doc = json.loads(line)
                 if (
                     doc["schema"] != CHECKPOINT_SCHEMA
                     or doc["version"] != _CODE_VERSION
@@ -158,7 +145,7 @@ class CheckpointJournal:
         profile: bool,
         outcome: "CellOutcome",
     ) -> None:
-        """Append one completed outcome (flush + fsync; never raises).
+        """Append one completed outcome (never raises).
 
         Idempotent per cell key — replayed or already-journaled cells
         are not re-appended, so a resumed run does not grow the journal
@@ -168,31 +155,18 @@ class CheckpointJournal:
         digest, key = cell_key(config, task, obs_enabled, profile)
         if digest in index:
             return
-        line = json.dumps(
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "version": _CODE_VERSION,
-                "digest": digest,
-                "key": key,
-                "cell": "/".join(task.label()),
-                "payload": base64.b64encode(
-                    pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-                ).decode("ascii"),
-            },
-            sort_keys=True,
-        )
+        doc = {
+            "schema": CHECKPOINT_SCHEMA,
+            "version": _CODE_VERSION,
+            "digest": digest,
+            "key": key,
+            "cell": "/".join(task.label()),
+            "payload": base64.b64encode(
+                pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+            ).decode("ascii"),
+        }
         try:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as fh:
-                if self._tail_torn:
-                    # seal the torn fragment a killed run left behind so
-                    # this line starts fresh instead of merging with it
-                    fh.write("\n")
-                    self._tail_torn = False
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            jsonl.append(self.path, doc)
         except OSError as exc:
             self.write_failed += 1
             if not self._warned_unwritable:

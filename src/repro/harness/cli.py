@@ -508,12 +508,11 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # every exit path — clean end, a raising cell, Ctrl-C — seals
         # the event stream (run_end is idempotent and records *how* the
-        # run ended), releases the status port, closes the log, and
-        # records the run in the ledger
+        # run ended), releases the status port, and records the run in
+        # the ledger
         session.run_end(outcome=run_outcome)
         if status_server is not None:
             status_server.stop()
-        session.close()
         if args.ledger_record:
             from ..obs.ledger import record_study_run
 

@@ -313,7 +313,7 @@ def _cmd_trend(ledger: RunLedger, args) -> int:
             add(path.name, doc.get("config", {}).get("date", "—"), doc)
     records, _skipped = ledger.read_index()
     for record in records:
-        run = ledger.load(record["run_id"])
+        run = ledger.load(record["run_id"], record)
         if run.metrics is None:
             continue
         add(

@@ -4,11 +4,11 @@ A long supervised study (``--jobs``, checkpoint/resume, chaos retries)
 is opaque while it runs: traces, metrics and attribution all render
 *after* exit.  This module is the machine-readable counterpart of the
 stderr reports — every state transition the scheduler, supervisor,
-checkpoint journal and cell cache go through is appended to an event
-log **as it happens**, one JSON object per line, flushed per line, so
-the log is valid after a kill at any byte offset (the worst case is one
-torn final line, which :func:`read_events` skips and counts — the same
-discipline as :class:`~repro.core.checkpoint.CheckpointJournal`).
+checkpoint journal and cell cache go through is appended to a
+:mod:`repro.jsonl` event log **as it happens**, one JSON object per
+line, so the log is valid after a kill at any byte offset (the worst
+case is one torn final line, which :func:`read_events` skips and
+counts).
 
 Event kinds (:data:`EVENT_KINDS`) form a small closed vocabulary with a
 stable schema tag (``repro.events/v1``):
@@ -35,13 +35,13 @@ an un-flagged run byte-identical.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
+
+from .. import jsonl
 
 #: schema tag stamped on every line; bump on any layout change so
 #: consumers can reject lines written under another vocabulary
@@ -67,13 +67,12 @@ TERMINAL_CELL_KINDS = frozenset({"cell_done", "cell_degraded"})
 
 
 class EventLog:
-    """Append-only JSONL event sink (one line per event, flush + fsync).
+    """Append-only JSONL event sink (one :mod:`repro.jsonl` line each).
 
-    Opens lazily on first emit; an unwritable path warns once and
-    degrades to a dropped-event counter instead of raising — telemetry
-    must never take a run down.  Appends are serialized under a lock so
-    the status-server thread (or any future emitter off the main
-    thread) cannot interleave lines.
+    An unwritable path warns once and degrades to a dropped-event
+    counter instead of raising — telemetry must never take a run down.
+    Appends are serialized under a lock so the status-server thread (or
+    any future emitter off the main thread) cannot interleave lines.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -83,39 +82,7 @@ class EventLog:
         self.dropped = 0
         self._seq = 0
         self._lock = threading.Lock()
-        self._fh = None
         self._warned = False
-        #: the existing file ends in a torn (newline-less) line from a
-        #: killed run; the first append must seal it (same discipline as
-        #: the checkpoint journal's tail sealing)
-        self._tail_torn = False
-        self._opened = False
-
-    # -- plumbing ----------------------------------------------------------
-    def _open(self):
-        if self._opened:
-            return self._fh
-        self._opened = True
-        try:
-            try:
-                raw_tail = self.path.read_bytes()[-1:]
-                self._tail_torn = raw_tail not in (b"", b"\n")
-            except OSError:
-                pass  # no log yet: a fresh file
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a")
-        except OSError as exc:
-            self._fh = None
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    f"cannot open event log {self.path}: {exc} "
-                    f"(continuing without run events)",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-        return self._fh
 
     # -- the one write path ------------------------------------------------
     def emit(self, kind: str, **attrs: Any) -> None:
@@ -127,41 +94,27 @@ class EventLog:
                 f"known: {sorted(EVENT_KINDS)}"
             )
         with self._lock:
-            fh = self._open()
-            line = json.dumps(
-                {
+            try:
+                jsonl.append(self.path, {
                     "schema": EVENT_SCHEMA,
                     "seq": self._seq,
                     "ts": time.time(),
                     "kind": kind,
                     "attrs": attrs,
-                },
-                sort_keys=True,
-            )
-            if fh is None:
+                })
+            except OSError as exc:
                 self.dropped += 1
-                return
-            try:
-                if self._tail_torn:
-                    fh.write("\n")
-                    self._tail_torn = False
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            except (OSError, ValueError):
-                self.dropped += 1
+                if not self._warned:
+                    self._warned = True
+                    warnings.warn(
+                        f"cannot open event log {self.path}: {exc} "
+                        f"(continuing without run events)",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
                 return
             self._seq += 1
             self.emitted += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:  # pragma: no cover - already broken
-                    pass
-                self._fh = None
 
     def stats(self) -> dict:
         return {
@@ -175,28 +128,17 @@ def read_events(path: str | Path) -> tuple[list[dict], int]:
     """Parse an event log back: ``(events, skipped_lines)``.
 
     Unparseable lines (a torn final write) and lines carrying another
-    schema tag are skipped and counted, never raised on — mirroring the
-    checkpoint journal's load discipline.
+    schema tag or an unknown kind are skipped and counted, never raised
+    on.
     """
-    events: list[dict] = []
-    skipped = 0
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return events, skipped
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            if doc["schema"] != EVENT_SCHEMA or doc["kind"] not in EVENT_KINDS:
-                skipped += 1
-                continue
-        except Exception:
-            skipped += 1
-            continue
-        events.append(doc)
-    return events, skipped
+    docs, skipped = jsonl.read(path)
+    events = [
+        doc for doc in docs
+        if doc.get("schema") == EVENT_SCHEMA
+        and isinstance(doc.get("kind"), str)
+        and doc["kind"] in EVENT_KINDS
+    ]
+    return events, skipped + len(docs) - len(events)
 
 
 def check_invariants(events: list[dict]) -> list[str]:

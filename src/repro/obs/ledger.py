@@ -19,11 +19,10 @@ records, under a content-addressed run id in ``.repro/runs/<run-id>/``:
   .to_detailed_json`) when observability was armed, feeding
   ``runs flame``.
 
-An append-only ``index.jsonl`` (one ``repro.ledger/v1`` summary line
-per run, flush + fsync, with the checkpoint journal's torn-tail
-discipline: seal a torn final line on the next append, skip + count it
-on read) makes history listable without touching the per-run
-directories; :meth:`RunLedger.gc` prunes the oldest runs.
+An append-only :mod:`repro.jsonl` ``index.jsonl`` (one
+``repro.ledger/v1`` summary line per run) makes history listable
+without touching the per-run directories; :meth:`RunLedger.gc` prunes
+the oldest runs.
 
 The ledger is *telemetry*, not results: recording happens after stdout
 is complete, every failure degrades to a warning, and nothing under the
@@ -43,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from .. import jsonl
 from ..errors import LedgerError
 
 #: schema tag stamped on every index line and outcome document; bump on
@@ -173,7 +173,7 @@ class RunLedger:
                     json.dumps(doc, indent=1, sort_keys=True, default=str)
                     + "\n"
                 )
-            self._append_index(summary)
+            jsonl.append(self.index_path, summary)
         except OSError as exc:
             self.write_failed += 1
             if not self._warned:
@@ -188,28 +188,6 @@ class RunLedger:
         self.recorded += 1
         return LedgerEntry(run_id=run_id, directory=run_dir)
 
-    def _append_index(self, record: dict) -> None:
-        """Append one summary line, sealing a torn tail first.
-
-        Same discipline as :class:`~repro.core.checkpoint
-        .CheckpointJournal`: a run killed mid-write leaves at most one
-        newline-less fragment, which the next append terminates so it
-        can never merge with new data.
-        """
-        torn = False
-        try:
-            tail = self.index_path.read_bytes()[-1:]
-            torn = tail not in (b"", b"\n")
-        except OSError:
-            pass  # no index yet: a fresh ledger
-        line = json.dumps(record, sort_keys=True)
-        with open(self.index_path, "a") as fh:
-            if torn:
-                fh.write("\n")
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     # -- read paths --------------------------------------------------------
     def read_index(self) -> tuple[list[dict], int]:
         """All index records in recording order: ``(records, skipped)``.
@@ -217,25 +195,12 @@ class RunLedger:
         Unparseable lines (a torn final write) and lines under another
         schema tag are skipped and counted, never raised on.
         """
-        records: list[dict] = []
-        skipped = 0
-        try:
-            raw = self.index_path.read_bytes()
-        except OSError:
-            return records, skipped
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                if doc.get("schema") != LEDGER_SCHEMA or "run_id" not in doc:
-                    skipped += 1
-                    continue
-            except Exception:
-                skipped += 1
-                continue
-            records.append(doc)
-        return records, skipped
+        docs, skipped = jsonl.read(self.index_path)
+        records = [
+            doc for doc in docs
+            if doc.get("schema") == LEDGER_SCHEMA and "run_id" in doc
+        ]
+        return records, skipped + len(docs) - len(records)
 
     def resolve(self, token: str) -> str:
         """A run-id token to a full run id.
@@ -265,12 +230,17 @@ class RunLedger:
             f"ambiguous run prefix {token!r}: {', '.join(matches)}"
         )
 
-    def load(self, run_id: str) -> LedgerRun:
-        """Load one run's documents (missing files load as ``None``)."""
-        records, _skipped = self.read_index()
-        record = next(
-            (r for r in records if r["run_id"] == run_id), None
-        )
+    def load(self, run_id: str, record: Optional[dict] = None) -> LedgerRun:
+        """Load one run's documents (missing files load as ``None``).
+
+        ``record`` is the run's index line when the caller already has
+        it; otherwise the index is read to find it.
+        """
+        if record is None:
+            records, _skipped = self.read_index()
+            record = next(
+                (r for r in records if r["run_id"] == run_id), None
+            )
         run_dir = self.directory / run_id
 
         def read(name: str):
@@ -309,13 +279,7 @@ class RunLedger:
                 continue  # content-addressed duplicate still referenced
             shutil.rmtree(self.directory / run_id, ignore_errors=True)
         try:
-            tmp = self.index_path.with_name("index.jsonl.tmp")
-            tmp.write_text(
-                "".join(
-                    json.dumps(r, sort_keys=True) + "\n" for r in kept
-                )
-            )
-            os.replace(tmp, self.index_path)
+            jsonl.rewrite(self.index_path, kept)
         except OSError as exc:
             raise LedgerError(
                 f"cannot rewrite ledger index {self.index_path}: {exc}"

@@ -319,10 +319,6 @@ class RunTelemetry:
         if self.progress is not None:
             self.progress.finish()
 
-    def close(self) -> None:
-        if self.events is not None:
-            self.events.close()
-
     # -- cell lifecycle ----------------------------------------------------
     def cells_planned(self, labels) -> None:
         self.aggregator.cells_planned(labels)
@@ -395,9 +391,6 @@ class NullRunTelemetry:
         pass
 
     def run_end(self, outcome: str = "ok") -> None:
-        pass
-
-    def close(self) -> None:
         pass
 
     def cells_planned(self, labels) -> None:

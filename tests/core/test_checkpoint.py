@@ -92,6 +92,24 @@ class TestTornLines:
             assert reader.lookup(CONFIG, TASKS[1], False, False) is not None
         assert reader.corrupt == 1
 
+    def test_fragment_torn_after_load_is_sealed_on_next_record(
+        self, tmp_path
+    ):
+        # a fragment that lands after the journal was loaded (another
+        # writer killed mid-line) must not swallow the next record
+        path = tmp_path / "j.ckpt"
+        journal = CheckpointJournal(path)
+        journal.record(CONFIG, TASKS[0], False, False, _outcome(TASKS[0]))
+        with open(path, "ab") as fh:
+            fh.write(b'{"schema": 1, "torn')
+        journal.record(CONFIG, TASKS[1], False, False,
+                       _outcome(TASKS[1], 5.0))
+        reader = CheckpointJournal(path)
+        with pytest.warns(RuntimeWarning, match="torn write"):
+            replayed = reader.lookup(CONFIG, TASKS[1], False, False)
+        assert replayed is not None and replayed.result == 5.0
+        assert reader.corrupt == 1
+
     def test_garbage_payload_counts_as_corrupt(self, tmp_path):
         path = tmp_path / "j.ckpt"
         line = json.dumps({

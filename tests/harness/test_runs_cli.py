@@ -149,6 +149,19 @@ class TestTrend:
         assert "trend:" in out
         assert "3 point(s)" in out
 
+    def test_trend_reads_the_index_once(self, history, monkeypatch, capsys):
+        calls = []
+        read_index = RunLedger.read_index
+
+        def spy(self):
+            calls.append(self.index_path)
+            return read_index(self)
+
+        monkeypatch.setattr(RunLedger, "read_index", spy)
+        assert _runs(["trend", history["victim"]], history) == 0
+        assert "3 point(s)" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_trend_seeds_from_bench_files(self, history, tmp_path, capsys):
         bench_dir = tmp_path / "bench"
         bench_dir.mkdir()

@@ -45,7 +45,6 @@ def _run_study(events_path, *, jobs=1, faults=None, cache_dir=None,
             study, machines=[get_machine(key) for key in TWO_MACHINES]
         )
         session.run_end()
-    session.close()
     return study, text
 
 
@@ -61,7 +60,6 @@ class TestEventLog:
         log = EventLog(tmp_path / "ev.jsonl")
         log.emit("run_start", targets=["table4"], jobs=1, seed=7)
         log.emit("run_end", cells=0)
-        log.close()
         lines = (tmp_path / "ev.jsonl").read_text().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
@@ -93,7 +91,6 @@ class TestEventLog:
         log = EventLog(path)
         log.emit("run_start", jobs=1)
         log.emit("cell_start", cell="a")
-        log.close()
         raw = path.read_bytes()
         path.write_bytes(raw[:-20])  # tear the last line mid-JSON
         events, skipped = read_events(path)
@@ -104,12 +101,24 @@ class TestEventLog:
         path = tmp_path / "ev.jsonl"
         log = EventLog(path)
         log.emit("run_start", jobs=1)
-        log.close()
         with open(path, "ab") as fh:
             fh.write(b'{"torn": tru')  # a killed run's partial write
         resumed = EventLog(path)
         resumed.emit("run_end", cells=0)
-        resumed.close()
+        events, skipped = read_events(path)
+        assert skipped == 1
+        assert [e["kind"] for e in events] == ["run_start", "run_end"]
+
+    def test_fragment_torn_mid_session_is_sealed_on_next_emit(
+        self, tmp_path
+    ):
+        # the same log object keeps emitting after a fragment lands
+        path = tmp_path / "ev.jsonl"
+        log = EventLog(path)
+        log.emit("run_start", jobs=1)
+        with open(path, "ab") as fh:
+            fh.write(b'{"schema": 1, "torn')
+        log.emit("run_end", cells=0)
         events, skipped = read_events(path)
         assert skipped == 1
         assert [e["kind"] for e in events] == ["run_start", "run_end"]
@@ -239,7 +248,6 @@ class TestRunEndOutcome:
         session.run_start(["table4"], 1, 11)
         session.run_end(outcome="error")
         session.run_end()  # the finally-block call: must not double-emit
-        session.close()
         events, _ = read_events(tmp_path / "ev.jsonl")
         kinds = _kinds(events)
         assert kinds["run_end"] == 1

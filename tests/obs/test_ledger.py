@@ -170,6 +170,18 @@ class TestGc:
         for run_id in ids[2:]:
             assert (tmp_path / run_id).exists()
 
+    def test_gc_rewrite_leaves_a_clean_index(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for i in range(3):
+            ledger.record(kind="cli", targets=["t"],
+                          outcome={"outcome": "ok", "started": float(i)})
+        with open(ledger.index_path, "a") as fh:
+            fh.write('{"schema": "repro.ledger/v1", "run_id": "to')
+        ledger.gc(keep=2)
+        assert not list(tmp_path.glob("*.tmp"))
+        records, skipped = ledger.read_index()
+        assert len(records) == 2 and skipped == 0
+
     def test_gc_spares_duplicate_id_still_kept(self, tmp_path):
         # the same content recorded twice shares one run directory; gc
         # of the older index line must not delete the survivor's files

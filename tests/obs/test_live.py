@@ -213,7 +213,6 @@ class TestRunTelemetrySession:
         NULL_TELEMETRY.pool_rebuild(1)
         NULL_TELEMETRY.cell_retry("a", 2)
         NULL_TELEMETRY.run_end()
-        NULL_TELEMETRY.close()
 
     def test_context_manager_restores_previous_session(self):
         session = RunTelemetry()
@@ -235,7 +234,6 @@ class TestRunTelemetrySession:
         session.cell_start("b")
         session.cell_done("b", degraded=True, wall_seconds=0.5)
         session.run_end()
-        session.close()
         snap = session.aggregator.snapshot()
         assert snap["cells"]["done"] == 2 and snap["cells"]["degraded"] == 1
         events, skipped = read_events(tmp_path / "ev.jsonl")
@@ -250,7 +248,6 @@ class TestRunTelemetrySession:
     def test_cell_retry_updates_aggregator_without_an_event(self, tmp_path):
         session = RunTelemetry(events=EventLog(tmp_path / "ev.jsonl"))
         session.cell_retry("a", attempt=2)
-        session.close()
         assert session.aggregator.snapshot()["supervisor"]["retries"] == 1
         events, _ = read_events(tmp_path / "ev.jsonl")
         assert events == []  # retries surface via repeated cell_start
