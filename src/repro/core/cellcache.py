@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: bump on any payload-layout or key-derivation change: every entry
 #: written under another schema is hard-invalidated on first touch
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: StudyConfig knobs that steer *how* cells execute, not what they
 #: compute — byte-neutral by the determinism contract, so excluded

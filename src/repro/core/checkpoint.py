@@ -48,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: bump on any line-layout change: lines written under another schema
 #: are skipped as stale on load (counted, never served)
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointJournal:

@@ -97,7 +97,12 @@ class DeviceRuntime:
         if machine.calibration.gpu_runtime is None:
             raise GpuRuntimeError(f"{machine.name} has no GPU runtime calibration")
         self.machine = machine
-        self.env = env if env is not None else Environment()
+        ctx = obs.current()
+        if env is None:
+            # a fresh simulated clock starts a new run for attribution
+            env = Environment()
+            ctx.tracer.new_run()
+        self.env = env
         #: explicit recorder wins; otherwise records flow into the active
         #: observability tracer (or the shared null recorder when off)
         self.trace = trace if trace is not None else obs.active_recorder()
@@ -106,7 +111,6 @@ class DeviceRuntime:
         self.injector = injector
         # cached observability handles (MpiWorld idiom): per-command
         # name->counter lookups showed up in sustained-launch profiles
-        ctx = obs.current()
         self._obs_enabled = ctx.enabled
         self._tracer = ctx.tracer
         self._m_launched = ctx.metrics.counter("gpurt.kernel.launched")

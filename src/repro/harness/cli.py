@@ -23,7 +23,7 @@ Usage::
     python -m repro all --progress=force   # ETA ticker even when piped (CI)
     python -m repro runs list            # ledgered run history
     python -m repro runs diff latest abc123   # Welch-tested cross-run diff
-    python -m repro runs flame latest --cell table6   # attribution icicle
+    python -m repro runs flame latest --cell cs.memcpy   # attribution icicle
     python -m repro table4 --no-ledger   # opt out of run recording
     python -m repro check                # paper-reference regression checks
     python -m repro check --spec my.toml --adaptive  # custom declarative suite

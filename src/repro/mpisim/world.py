@@ -363,11 +363,15 @@ class MpiWorld:
                 )
         self.machine = machine
         self.placement = list(placement)
-        self.env = env if env is not None else Environment()
+        ctx = obs.current()
+        if env is None:
+            # a fresh simulated clock starts a new run for attribution
+            env = Environment()
+            ctx.tracer.new_run()
+        self.env = env
         #: explicit recorder wins; otherwise records flow into the active
         #: observability tracer (or the shared null recorder when off)
         self.trace = trace if trace is not None else obs.active_recorder()
-        ctx = obs.current()
         self._obs_enabled = ctx.enabled
         self._tracer = ctx.tracer
         self._m_eager = ctx.metrics.counter("mpisim.send.eager")

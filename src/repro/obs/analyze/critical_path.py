@@ -19,10 +19,15 @@ to the cell's span total by construction (the property the regression
 harness asserts).  For a serialised microbenchmark — a ping-pong, a
 single memcpy — this exclusive timeline *is* the critical path.
 
+Every simulation run starts its clock at t=0, so a window is
+attributed against the spans of its own run only (the ``run`` number
+the tracer stamps on each span); spans of other runs overlap it in
+simulated time but never belong to it.
+
 Works on both live :class:`repro.obs.span.SpanRecord` objects and
 :class:`repro.obs.analyze.reader.ReadSpan` records read back from a
 trace file; anything exposing ``name``/``category``/``sim_begin``/
-``sim_end`` qualifies.
+``sim_end``/``run`` qualifies.
 """
 
 from __future__ import annotations
@@ -206,7 +211,10 @@ def attribute_cells(
     """Attribute every benchmark cell window found in ``spans``.
 
     ``windows`` defaults to the finished simulated-time spans of the
-    ``benchmarks`` category (one per instrumented timed section).
+    ``benchmarks`` category (one per instrumented timed section).  The
+    phase spans are bucketed by run once, and each window is attributed
+    against its own run's bucket only, so the pass is linear in the
+    number of spans.
     """
     if windows is None:
         windows = [
@@ -214,12 +222,16 @@ def attribute_cells(
             if getattr(s, "category", None) == "benchmarks"
             and s.sim_begin is not None and s.sim_end is not None
         ]
-    out = []
-    for window in sorted(windows, key=lambda s: s.sim_begin):
-        out.append(attribute_window(
-            spans, window.sim_begin, window.sim_end, cell=window.name
-        ))
-    return out
+    by_run: dict[int, list[Any]] = {}
+    for span in _sim_phase_spans(spans):
+        by_run.setdefault(span.run, []).append(span)
+    return [
+        attribute_window(
+            by_run.get(window.run, ()), window.sim_begin, window.sim_end,
+            cell=window.name,
+        )
+        for window in sorted(windows, key=lambda s: s.sim_begin)
+    ]
 
 
 def attributions_from_tracer(tracer) -> list[PhaseAttribution]:
@@ -241,6 +253,7 @@ def attributions_from_tracer(tracer) -> list[PhaseAttribution]:
             timeline="sim",
             begin=r.sim_begin,
             end=r.sim_end,
+            run=r.run,
         )
         for r in tracer.span_records()
         if r.sim_begin is not None

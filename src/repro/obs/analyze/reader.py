@@ -48,6 +48,9 @@ class ReadSpan:
     #: ``None`` for a span that was still open at export time
     end: Optional[float]
     args: dict[str, Any] = field(default_factory=dict)
+    #: simulation run the span belongs to (``args.run`` in the file);
+    #: a trace written without run numbers reads as one run, 0
+    run: int = 0
 
     @property
     def finished(self) -> bool:
@@ -153,6 +156,7 @@ class TraceDocument:
             self._require(event, ("name", "cat", "ts", "dur", "pid", "tid"))
             args = dict(event.get("args", {}))
             args.pop("wall_ms", None)  # exporter-added annotation
+            run = args.pop("run", 0)
             self.spans.append(ReadSpan(
                 name=event["name"],
                 category=event["cat"],
@@ -160,12 +164,14 @@ class TraceDocument:
                 begin=event["ts"] * _US,
                 end=(event["ts"] + event["dur"]) * _US,
                 args=args,
+                run=run,
             ))
             return
         if ph == "B":
             self._require(event, ("name", "cat", "ts", "pid", "tid"))
             args = dict(event.get("args", {}))
             args.pop("unfinished", None)
+            run = args.pop("run", 0)
             self.spans.append(ReadSpan(
                 name=event["name"],
                 category=event["cat"],
@@ -173,6 +179,7 @@ class TraceDocument:
                 begin=event["ts"] * _US,
                 end=None,
                 args=args,
+                run=run,
             ))
             return
         if ph == "i":

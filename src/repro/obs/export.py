@@ -11,9 +11,11 @@ is a JSON object with a ``traceEvents`` list; we emit:
 * instant events (``ph: "i"``) for ``TraceRecorder`` records.
 
 Two timelines coexist: spans carrying simulated time render under the
-``pid`` :data:`PID_SIM`; wall-time-only spans (study cells) under
-:data:`PID_WALL`.  Categories map to ``tid`` lanes, named via metadata
-events, so Perfetto shows one lane per subsystem.
+``pid`` :data:`PID_SIM`, each with the simulation run it belongs to as
+``args.run`` (every run starts at simulated t=0); wall-time-only spans
+(study cells) render under :data:`PID_WALL`.  Categories map to ``tid``
+lanes, named via metadata events, so Perfetto shows one lane per
+subsystem.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ def _tid_table(tracer: Tracer) -> dict[str, int]:
 
 
 def _span_event(record: SpanRecord, origin: float, tids: dict[str, int]) -> dict:
+    args: dict[str, Any] = dict(record.attrs)
     if record.sim_begin is not None and record.sim_end is not None:
         pid, ts = PID_SIM, record.sim_begin * 1e6
         dur = (record.sim_end - record.sim_begin) * 1e6
+        args["run"] = record.run
     else:
         pid, ts = PID_WALL, (record.wall_begin - origin) * 1e6
         dur = (record.wall_end - record.wall_begin) * 1e6
-    args: dict[str, Any] = dict(record.attrs)
     if record.wall_end is not None:
         args["wall_ms"] = (record.wall_end - record.wall_begin) * 1e3
     return {
@@ -63,8 +66,10 @@ def _span_event(record: SpanRecord, origin: float, tids: dict[str, int]) -> dict
 
 def _open_span_event(record: SpanRecord, origin: float,
                      tids: dict[str, int]) -> dict:
+    args: dict[str, Any] = {**record.attrs, "unfinished": True}
     if record.sim_begin is not None:
         pid, ts = PID_SIM, record.sim_begin * 1e6
+        args["run"] = record.run
     else:
         pid, ts = PID_WALL, (record.wall_begin - origin) * 1e6
     return {
@@ -74,7 +79,7 @@ def _open_span_event(record: SpanRecord, origin: float,
         "ts": ts,
         "pid": pid,
         "tid": tids[record.category],
-        "args": {**record.attrs, "unfinished": True},
+        "args": args,
     }
 
 

@@ -46,6 +46,10 @@ class SpanRecord:
     sim_end: Optional[float] = None
     depth: int = 0
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: the simulation run (one ``Environment``) the span belongs to;
+    #: every run starts at simulated t=0, so sim times compare only
+    #: between spans of the same run
+    run: int = 0
 
     @property
     def finished(self) -> bool:
@@ -116,8 +120,16 @@ class Tracer:
         self._stack: list[Span] = []
         self.dropped = 0
         self.wall_origin = time.perf_counter()
+        #: number of the current simulation run (see :meth:`new_run`)
+        self.run = 0
 
     # -- recording ---------------------------------------------------------
+    def new_run(self) -> None:
+        """Start a new simulation run: spans recorded from now on carry
+        the next run number.  Called wherever a fresh ``Environment``
+        (simulated t=0) is created."""
+        self.run += 1
+
     def _keep(self, record: Any) -> bool:
         if self.capacity is not None and len(self._records) >= self.capacity:
             self.dropped += 1
@@ -151,6 +163,7 @@ class Tracer:
             sim_begin=clock() if clock is not None else None,
             depth=len(self._stack),
             attrs=dict(attrs),
+            run=self.run,
         )
         span = Span(self, record, clock)
         self._stack.append(span)
@@ -194,7 +207,7 @@ class Tracer:
             name=name, category=category,
             wall_begin=now, wall_end=now,
             sim_begin=sim_begin, sim_end=sim_end,
-            depth=len(self._stack), attrs=attrs,
+            depth=len(self._stack), attrs=attrs, run=self.run,
         ))
 
     def instant(self, sim_time: float, category: str, label: str,
@@ -222,15 +235,21 @@ class Tracer:
         may be absorbed more than once when a table is rebuilt) and
         their host wall-times rebased from the worker's origin onto
         this tracer's, so relative timing stays meaningful; simulated
-        times are absolute and travel untouched.  The donor's drop
-        count folds into ours, and capacity accounting applies to the
-        absorbed records exactly as if they had been recorded locally.
+        times are absolute and travel untouched.  Run numbers shift
+        past this tracer's counter, which then advances past the
+        donor's highest run, so absorbed runs never share a number with
+        local or earlier-absorbed ones and a merge numbers runs exactly
+        as the serial loop would.  The donor's drop count folds into
+        ours, and capacity accounting applies to the absorbed records
+        exactly as if they had been recorded locally.
         """
         offset = 0.0
         if wall_origin is not None:
             offset = self.wall_origin - wall_origin
+        base = last = self.run
         for record in records:
             if isinstance(record, SpanRecord):
+                last = max(last, base + record.run)
                 record = SpanRecord(
                     name=record.name,
                     category=record.category,
@@ -243,8 +262,10 @@ class Tracer:
                     sim_end=record.sim_end,
                     depth=record.depth,
                     attrs=dict(record.attrs),
+                    run=base + record.run,
                 )
             self._keep(record)
+        self.run = last
         if dropped:
             self.dropped += dropped
 
@@ -344,6 +365,9 @@ class NullTracer:
 
     def instant(self, sim_time: float, category: str, label: str,
                 attrs: Optional[dict] = None) -> None:
+        return None
+
+    def new_run(self) -> None:
         return None
 
     def absorb(self, records: list, *, wall_origin: Optional[float] = None,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -13,6 +14,26 @@ from repro.machines.registry import (
     get_machine,
     gpu_machines,
 )
+
+
+#: wall-clock ceiling on one test's call phase, seconds; the slowest
+#: test takes about a tenth of it on a 2-core host
+TEST_CEILING_S = 120
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail any test whose call phase outlasts :data:`TEST_CEILING_S`."""
+    started = time.perf_counter()
+    result = yield
+    elapsed = time.perf_counter() - started
+    if elapsed > TEST_CEILING_S:
+        pytest.fail(
+            f"{item.nodeid} took {elapsed:.1f} s, over the "
+            f"{TEST_CEILING_S} s per-test ceiling",
+            pytrace=False,
+        )
+    return result
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -61,18 +61,41 @@ class TestWrite:
             assert "29. Trinity" in fh.read()
 
 
+def obs_run(**config):
+    """An obs-on bundle and the tracer that recorded it."""
+    from repro.obs import ObsContext, runtime as obs
+
+    ctx = ObsContext.create()
+    with obs.observability(ctx):
+        bundle = build_artifacts(
+            Study(StudyConfig(runs=2, seed=1, **config)), curves=False
+        )
+    return bundle, ctx.tracer
+
+
+def sim_runs(tracer) -> list:
+    """(name, begin, end, run) of every simulated-time span recorded."""
+    return [
+        (r.name, r.sim_begin, r.sim_end, r.run)
+        for r in tracer.span_records() if r.sim_begin is not None
+    ]
+
+
+#: the phases each benchmark family's windows may carry
+GPU_PHASES = {"launch", "queue", "exec", "dma", "gpu", "overhead"}
+MPI_PHASES = {"eager", "match", "rendezvous", "mpi", "link", "overhead"}
+
+
 class TestObsAttribution:
     """With observability on, the bundle gains the phase digest."""
 
     @pytest.fixture(scope="class")
-    def obs_bundle(self):
-        from repro.obs import ObsContext, runtime as obs
+    def serial_obs(self):
+        return obs_run()
 
-        ctx = ObsContext.create()
-        with obs.observability(ctx):
-            return build_artifacts(
-                Study(StudyConfig(runs=2, seed=1)), curves=False
-            )
+    @pytest.fixture(scope="class")
+    def obs_bundle(self, serial_obs):
+        return serial_obs[0]
 
     def test_attribution_files_present(self, obs_bundle):
         assert "obs/attribution.json" in obs_bundle.files
@@ -87,6 +110,34 @@ class TestObsAttribution:
         for cell in cells:
             drift = abs(sum(cell["phases_us"].values()) - cell["total_us"])
             assert drift <= 0.01 * cell["total_us"]
+
+    def test_windows_carry_only_their_own_layers_phases(self, obs_bundle):
+        import json
+
+        cells = json.loads(obs_bundle.files["obs/attribution.json"])
+        families = {"cs.": GPU_PHASES, "osu.": MPI_PHASES}
+        seen = set()
+        for cell in cells:
+            prefix = cell["cell"].split(".")[0] + "."
+            seen.add(prefix)
+            assert set(cell["phases_us"]) <= families[prefix], cell
+        assert seen == set(families)
+
+    @pytest.mark.parallel
+    def test_attribution_and_run_numbers_match_at_jobs_2(self, serial_obs):
+        bundle, tracer = obs_run(jobs=2)
+        assert sim_runs(tracer) == sim_runs(serial_obs[1])
+        assert bundle.files["obs/attribution.json"] == \
+            serial_obs[0].files["obs/attribution.json"]
+
+    def test_warm_cache_rerun_attributes_as_a_cold_run(self, serial_obs,
+                                                       tmp_path):
+        cold = obs_run(cache=True, cache_dir=str(tmp_path))
+        warm = obs_run(cache=True, cache_dir=str(tmp_path))
+        for bundle, tracer in (cold, warm):
+            assert sim_runs(tracer) == sim_runs(serial_obs[1])
+            assert bundle.files["obs/attribution.json"] == \
+                serial_obs[0].files["obs/attribution.json"]
 
     def test_obs_off_bundle_has_no_obs_files(self, bundle):
         assert not [p for p in bundle.files if p.startswith("obs/")]

@@ -153,6 +153,38 @@ class TestNullTracer:
         assert NULL_TRACER.with_clock(lambda: 0.0) is NULL_TRACER
 
 
+class TestRuns:
+    """Run numbers: every simulation run restarts simulated time at 0."""
+
+    def test_spans_carry_the_current_run(self):
+        tr = Tracer()
+        tr.complete("send.eager", "mpisim", 0.0, 1.0)
+        tr.new_run()
+        tr.complete("send.eager", "mpisim", 0.0, 1.0)
+        with tr.span("cell", "study"):
+            pass
+        assert [r.run for r in tr.span_records()] == [0, 1, 1]
+
+    def test_fresh_runtimes_start_runs_and_shared_clocks_do_not(self):
+        from repro.gpurt.api import DeviceRuntime
+        from repro.machines.registry import get_machine
+        from repro.mpisim.placement import on_socket_pair
+        from repro.mpisim.world import MpiWorld
+        from repro.obs import ObsContext, runtime as obs
+
+        frontier = get_machine("frontier")
+        ctx = ObsContext.create()
+        with obs.observability(ctx):
+            rt = DeviceRuntime(frontier)
+            assert ctx.tracer.run == 1
+            pair = list(on_socket_pair(frontier))
+            DeviceRuntime(frontier, env=rt.env)
+            MpiWorld(frontier, pair, env=rt.env)
+            assert ctx.tracer.run == 1
+            MpiWorld(frontier, pair)
+            assert ctx.tracer.run == 2
+
+
 class TestAbsorb:
     """The worker-ring merge the parallel study scheduler performs."""
 
@@ -217,6 +249,21 @@ class TestAbsorb:
         parent.absorb(donor.records(), wall_origin=donor.wall_origin)
         assert len(parent) == 1
         assert parent.dropped == len(donor.records()) - 1
+
+    def test_absorbed_runs_shift_past_the_parent_counter(self):
+        donor = Tracer()
+        for _ in range(2):
+            donor.new_run()
+            donor.complete("send.eager", "mpisim", 0.0, 1.0)
+        parent = Tracer()
+        parent.new_run()
+        parent.complete("dma:h2d", "gpurt", 0.0, 1.0)
+        parent.absorb(donor.records(), wall_origin=donor.wall_origin)
+        parent.absorb(donor.records(), wall_origin=donor.wall_origin)
+        assert [r.run for r in parent.span_records()] == [1, 2, 3, 4, 5]
+        assert [r.run for r in donor.span_records()] == [1, 2]
+        parent.new_run()
+        assert parent.run == 6
 
     def test_null_tracer_absorbs_nothing(self):
         NULL_TRACER.absorb([object()], wall_origin=0.0, dropped=5)
